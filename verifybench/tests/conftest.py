@@ -1,0 +1,14 @@
+"""Put the checkout root and ``src`` on the path for the benchmark's tests.
+
+Run them from the repository root::
+
+    python3 -m pytest verifybench/tests
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
