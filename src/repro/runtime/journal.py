@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.core.errors import ReproError
 
@@ -140,38 +140,58 @@ def journaled_results(path: str) -> dict[str, dict]:
     return results
 
 
-class JournalIndex:
-    """Incremental job-id -> ``result``-record lookup over a *growing*
-    journal another process is appending to.
+def _result_or_claim(record: dict) -> bool:
+    return record.get("type") in ("result", "claim")
 
-    The cluster router uses this as its idempotency oracle: before
-    re-driving a request whose shard died mid-flight, it asks the dead
-    shard's journal whether the job already completed — a journaled
-    verdict is returned to the client as-is instead of being recomputed
-    (and re-journaled) on another shard.
+
+class JournalIndex:
+    """Incremental lookup over a *growing* JSONL file another process
+    is appending to: the latest record per ``(type, record[key])``.
+
+    The cluster router uses it on shard journals as its idempotency
+    oracle: before re-driving a request whose shard died mid-flight, it
+    asks the dead shard's journal whether the job already completed — a
+    journaled verdict is returned to the client as-is instead of being
+    recomputed (and re-journaled) on another shard.  The verdict store
+    tails its segments with it too (``key="key"`` and a checksum
+    filter), so both read one way.
 
     Unlike :func:`journaled_results`, a lookup does not re-read the
     whole file: :meth:`refresh` resumes from the byte offset of the
-    previous read and only parses appended data.  The reader must
-    tolerate every state a ``kill -9`` of the writer can leave:
+    previous read and only parses appended data.  ``accept`` filters
+    which well-formed records are kept (default: journal ``result`` and
+    ``claim`` records).  The reader must tolerate every state a
+    ``kill -9`` of the writer can leave:
 
     * **torn final line** — buffered until its newline arrives (the
       writer fsyncs whole lines, but a reader can race mid-append); it
       is never parsed as a record;
-    * **corrupt complete line** — skipped, not fatal: for *dedupe* the
-      safe failure direction is a miss (recompute) rather than an
-      exception that wedges failover;
+    * **corrupt complete line** — skipped, not fatal: for *dedupe* (and
+      for a cache) the safe failure direction is a miss (recompute)
+      rather than an exception that wedges failover;
     * **truncation/replacement** — a shard restart repairs torn tails
-      by truncating, shrinking the file; a shrink below our offset
-      resets the index and re-reads from the start.
+      by truncating, shrinking the file; a shrink below our offset (or
+      a vanished file) resets the index and re-reads from the start.
     """
 
-    def __init__(self, path: str) -> None:
+    def __init__(
+        self,
+        path: str,
+        key: str = "job",
+        accept: Callable[[dict], bool] = _result_or_claim,
+    ) -> None:
         self.path = path
-        self._offset = 0
+        self.key = key
+        self._accept = accept
+        #: Bytes of the file absorbed so far.
+        self.offset = 0
         self._tail = b""
-        self._results: dict[str, dict] = {}
-        self._claims: dict[str, dict] = {}
+        self._records: dict[str, dict[str, dict]] = {}
+
+    def _reset(self) -> None:
+        self.offset = 0
+        self._tail = b""
+        self._records = {}
 
     def refresh(self) -> None:
         """Absorb any bytes appended since the last refresh."""
@@ -179,26 +199,17 @@ class JournalIndex:
             with open(self.path, "rb") as handle:
                 handle.seek(0, os.SEEK_END)
                 size = handle.tell()
-                if size < self._offset:
-                    # The file shrank (torn-tail repair on reopen, or a
-                    # wholesale replacement): start over.
-                    self._offset = 0
-                    self._tail = b""
-                    self._results = {}
-                    self._claims = {}
-                if size == self._offset:
+                if size < self.offset:
+                    self._reset()  # shrank: torn-tail repair or replacement
+                if size == self.offset:
                     return
-                handle.seek(self._offset)
+                handle.seek(self.offset)
                 data = handle.read()
         except FileNotFoundError:
-            self._offset = 0
-            self._tail = b""
-            self._results = {}
-            self._claims = {}
+            self._reset()
             return
-        self._offset += len(data)
-        buffer = self._tail + data
-        lines = buffer.split(b"\n")
+        self.offset += len(data)
+        lines = (self._tail + data).split(b"\n")
         self._tail = lines.pop()  # b"" when the data ended on a newline
         for line in lines:
             if not line:
@@ -206,19 +217,25 @@ class JournalIndex:
             try:
                 record = json.loads(line.decode("utf-8", errors="replace"))
             except ValueError:
-                continue  # damaged line: a dedupe miss, never a crash
-            if not isinstance(record, dict) or not isinstance(record.get("job"), str):
-                continue
-            if record.get("type") == "result":
-                self._results[record["job"]] = record
-            elif record.get("type") == "claim":
-                self._claims[record["job"]] = record
+                continue  # damaged line: a miss, never a crash
+            if (
+                isinstance(record, dict)
+                and isinstance(record.get(self.key), str)
+                and self._accept(record)
+            ):
+                table = self._records.setdefault(record.get("type"), {})
+                table[record[self.key]] = record
+
+    def latest(self, kind: str) -> dict[str, dict]:
+        """Key -> latest record of type ``kind`` as of the last refresh
+        (the live table; callers must not mutate it)."""
+        return self._records.get(kind, {})
 
     def result(self, job_id: str) -> Optional[dict]:
         """The journaled ``result`` record for ``job_id``, if any
         (refreshes first)."""
         self.refresh()
-        return self._results.get(job_id)
+        return self.latest("result").get(job_id)
 
     def completed(self, job_id: str) -> bool:
         """Has ``job_id`` a journaled verdict already?"""
@@ -233,20 +250,20 @@ class JournalIndex:
         finished.
         """
         self.refresh()
-        return frozenset(self._results)
+        return frozenset(self.latest("result"))
 
     def records(self) -> dict[str, dict]:
         """Job id -> latest ``result`` record (refreshes first; the
         returned dict is a snapshot copy)."""
         self.refresh()
-        return dict(self._results)
+        return dict(self.latest("result"))
 
     def known_result(self, job_id: str) -> Optional[dict]:
         """The ``result`` record for ``job_id`` as of the last refresh
         (deliberately refresh-free, like :meth:`pending_claim` — for
         routing decisions that must be consistent with the claim
         table)."""
-        return self._results.get(job_id)
+        return self.latest("result").get(job_id)
 
     def pending_claim(self, job_id: str) -> Optional[dict]:
         """The latest ``claim`` record for ``job_id`` with no verdict
@@ -258,12 +275,12 @@ class JournalIndex:
         shard index, and a stale miss only costs the shard-side
         coalescer one extra arrival.
         """
-        if job_id in self._results:
+        if job_id in self.latest("result"):
             return None
-        return self._claims.get(job_id)
+        return self.latest("claim").get(job_id)
 
     def __contains__(self, job_id: str) -> bool:
         return self.completed(job_id)
 
     def __len__(self) -> int:
-        return len(self._results)
+        return len(self.latest("result"))

@@ -1,4 +1,5 @@
-"""Supervised parallel verification: a crash-tolerant worker pool.
+"""Supervised parallel verification: a crash-tolerant worker pool and
+the one job engine every fleet driver runs.
 
 Real verification runs are *batches* — Definition 4 quantifies over
 attackers and testers, so checking a protocol zoo means dozens of
@@ -14,46 +15,31 @@ Architecture:
   pipe (a killed worker can only corrupt its own channel), a watchdog
   thread that SIGKILLs workers over their RSS limit, past their hard
   deadline, or missing heartbeats, and a reaper that turns dead
-  processes into events.  The pool is long-lived and reusable — the
-  batch runner below and the verification service
-  (:mod:`repro.service.server`) drive the same pool;
+  processes into events;
 * each **worker** (:mod:`repro.runtime.worker`) executes one job at a
   time, streams heartbeats from a daemon thread, and autosaves
   periodic exploration checkpoints;
-* :func:`run_suite` supplies the *batch policy* on top: a queue of
-  :class:`Job`\\ s, exponential-backoff retries resuming from
-  checkpoints, degradation to qualified fault verdicts when retries run
-  out, and a crash-safe :class:`~repro.runtime.journal.Journal` so a
-  killed *supervisor* resumes a batch by skipping journaled jobs.
+* a :class:`JobEngine` owns the *per-job policy*: the attempt queue,
+  dispatch payloads, failure classification by error type, one
+  jittered exponential backoff, degradation to
+  ``Exhaustion(reason="fault")`` verdicts, journal records, and
+  verdict-store lookup and write-through;
+* two drivers wrap the engine: :func:`run_suite` adds resume/skip,
+  drain-without-shed and the :class:`SuiteReport`; the verification
+  service (:mod:`repro.service.server`) adds sockets, admission
+  limits, per-request deadlines, breakers and dedupe.  A verdict is
+  therefore the same whichever driver computed it.
 
-Failure handling matrix:
-
-========================  =============================================
-observed failure          response
-========================  =============================================
-worker exits / signalled  retry with exponential backoff; ``explore``
-                          jobs resume from the last autosaved
-                          checkpoint
-RSS over ``max_rss_mb``   SIGKILL ("oom"), then retry/resume as above
-hard deadline exceeded    SIGKILL ("hang"), then retry/resume
-missed heartbeats         SIGKILL ("stalled"), then retry/resume
-job raises in-process     worker survives; same retry path
-retries exhausted         degrade to a qualified partial verdict with
-                          ``Exhaustion(reason="fault")`` — the batch
-                          still completes
-corrupt checkpoint        the retried attempt restarts from scratch
-supervisor killed         ``resume=True`` re-runs only un-journaled
-                          jobs
-SIGINT/SIGTERM (drain)    stop dispatching, let in-flight jobs finish,
-                          flush the journal; un-run jobs stay
-                          un-journaled so ``--resume`` completes them
-========================  =============================================
+The failure policy — what each kind of failed attempt leads to, and
+the few differences between the drivers that stay on purpose — is the
+table in ``docs/runtime.md`` ("Failure policy").
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import random
 import shutil
 import signal
 import tempfile
@@ -64,18 +50,23 @@ from multiprocessing import connection as mp_connection
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core.errors import ReproError
-from repro.obs.metrics import current_metrics
+from repro.obs.metrics import Metrics, current_metrics
 from repro.obs.stats import SuiteStats
 from repro.obs.trace import trace_event
 from repro.runtime.exhaustion import Exhaustion
 from repro.runtime.faults import FaultPlan
 from repro.runtime.journal import Journal, journaled_results
-from repro.runtime.worker import Job, JobError, worker_main
+from repro.runtime.worker import Job, worker_main
 
 #: Outcome statuses.
 OK = "ok"            #: the job produced a verdict (possibly qualified)
 FAULT = "fault"      #: retries exhausted; degraded to a partial verdict
 SKIPPED = "skipped"  #: already journaled; not re-run (``resume=True``)
+ERROR = "error"      #: the job itself is wrong (``JobError``); never retried
+
+#: Worker ``error_type``\ s no retry can fix: the job description is
+#: malformed or names an unknown system.
+TERMINAL_ERRORS = frozenset({"JobError"})
 
 
 class SupervisorError(ReproError):
@@ -204,25 +195,14 @@ class SuiteReport:
 
 
 @dataclass
-class _Pending:
-    """A job waiting to run (or running), with its retry state."""
-
-    job: Job
-    attempt: int = 1
-    ready_at: float = 0.0
-    started_first: Optional[float] = None
-    events: list[str] = field(default_factory=list)
-
-
-@dataclass
 class _Worker:
     """Supervisor-side handle of one pool process.
 
-    ``current`` is an opaque caller-owned payload (the suite runner
-    stores a :class:`_Pending`, the service a ticket) — the pool only
-    uses it to mean "busy" and hands it back on death.
-    ``hard_deadline`` optionally overrides the pool-wide hard deadline
-    for the job in flight (services dispatch per-request deadlines).
+    ``current`` is an opaque caller-owned payload (the job engine
+    stores a :class:`Ticket`) — the pool only uses it to mean "busy"
+    and hands it back on death.
+    ``hard_deadline`` is the wall-clock kill limit of the job in flight
+    (``None``: no limit).
     """
 
     index: int
@@ -310,9 +290,8 @@ class WorkerPool:
     The pool owns *process mechanics only*: spawning and replacing
     workers, the heartbeat/RSS/deadline watchdog, SIGKILL, reaping, and
     the pipe plumbing.  What a job *means* — retries, degradation,
-    journaling, client responses — stays with the caller, which is why
-    both the one-shot batch runner (:func:`run_suite`) and the
-    long-running verification service drive the same class.
+    journaling — is the :class:`JobEngine`'s, and client responses are
+    the driver's.
 
     Args:
         size: target number of live workers (:meth:`ensure` tops up to
@@ -321,8 +300,6 @@ class WorkerPool:
             period.
         heartbeat_grace: missed-heartbeat window before a SIGKILL.
         max_rss_mb: per-worker RSS kill limit (needs /proc).
-        hard_deadline: pool-wide wall-clock kill limit per dispatched
-            job; :meth:`dispatch` may override per job.
         max_spawns: lifetime spawn budget — ``None`` for unbounded
             (services replace workers forever), a number to break
             pathological crash loops (batch runs).
@@ -335,7 +312,6 @@ class WorkerPool:
         heartbeat_interval: float = 0.25,
         heartbeat_grace: float = 15.0,
         max_rss_mb: Optional[float] = None,
-        hard_deadline: Optional[float] = None,
         max_spawns: Optional[int] = None,
         name: str = "repro-worker",
     ) -> None:
@@ -345,7 +321,6 @@ class WorkerPool:
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_grace = heartbeat_grace
         self.max_rss_mb = max_rss_mb
-        self.hard_deadline = hard_deadline
         self.max_spawns = max_spawns
         self.name = name
         self.spawned = 0
@@ -451,14 +426,17 @@ class WorkerPool:
             worker.kill_reason = reason
         self._sigkill(worker)
 
-    def poll(self, timeout: float = 0.1) -> list[PoolEvent]:
+    def poll(self, timeout: float = 0.1, wake: Sequence = ()) -> list[PoolEvent]:
         """Reap dead workers and drain worker messages.
 
         Returns ``"exit"`` events for processes found dead (their
         in-flight payload attached) followed by ``"message"`` events for
         everything workers sent (heartbeats are absorbed into
         ``last_beat`` and not surfaced).  Waits up to ``timeout`` for
-        traffic; pass ``0`` for a non-blocking sweep.
+        traffic; pass ``0`` for a non-blocking sweep.  ``wake`` adds
+        file descriptors (or objects with ``fileno()``) that end the
+        wait early without being read — the service passes its socket
+        selector, so one wait covers worker pipes and clients together.
         """
         events: list[PoolEvent] = []
         with self._lock:
@@ -467,12 +445,15 @@ class WorkerPool:
             events.append(self._reap(worker))
         with self._lock:
             conns = {w.conn: w for w in self._pool}
-        if not conns:
+        waitables = [*conns, *wake]
+        if not waitables:
             if timeout:
                 time.sleep(timeout)
             return events
-        for conn in mp_connection.wait(list(conns), timeout=timeout):
-            worker = conns[conn]
+        for conn in mp_connection.wait(waitables, timeout=timeout):
+            worker = conns.get(conn)
+            if worker is None:
+                continue  # a wake-up source; the caller reads it
             try:
                 while conn.poll():
                     message = conn.recv()
@@ -547,13 +528,9 @@ class WorkerPool:
             with self._lock:
                 snapshot = list(self._pool)
             for worker in snapshot:
-                hard = (
-                    worker.hard_deadline
-                    if worker.hard_deadline is not None
-                    else self.hard_deadline
-                )
                 reason = _kill_reason(
-                    worker, now, self.max_rss_mb, hard, self.heartbeat_grace
+                    worker, now, self.max_rss_mb, worker.hard_deadline,
+                    self.heartbeat_grace,
                 )
                 if reason is not None and worker.kill_reason is None:
                     worker.kill_reason = reason
@@ -613,6 +590,281 @@ def checkpointed_states(job: Job, directory: Optional[str]) -> int:
         return Checkpoint.load(path).graph.state_count()
     except CheckpointError:
         return 0
+
+
+# ----------------------------------------------------------------------
+# The job engine
+# ----------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class Ticket:
+    """One job travelling queue -> worker -> verdict, with its retry state.
+
+    ``ready_at`` (retry backoff) and ``deadline_at`` (a whole-request
+    budget; services only) are the attributes
+    :class:`~repro.service.admission.AdmissionQueue` keys on.
+    ``protocol`` is stamped on journal records (the service's breaker
+    key).  Drivers subclass the ticket to carry their own routing state.
+    """
+
+    job: Job
+    attempt: int = 1
+    ready_at: float = 0.0
+    deadline_at: Optional[float] = None
+    started_first: Optional[float] = None
+    store_key: Optional[str] = None
+    protocol: Optional[str] = None
+    fault_plan: Optional[dict] = None
+    fault_attempts: Sequence[int] = (1,)
+    events: list[str] = field(default_factory=list)
+
+    def elapsed(self, now: float) -> float:
+        """Seconds since the first dispatch (0 when never dispatched)."""
+        return now - self.started_first if self.started_first is not None else 0.0
+
+
+class JobEngine:
+    """The per-job policy both drivers run on one :class:`WorkerPool`.
+
+    A failed attempt is classified by the worker's ``error_type``:
+
+    * ``JobError`` is terminal — the job is malformed or names an
+      unknown system, and no retry changes that;
+    * ``CertificationError`` counts ``witness.failed`` and is retried;
+    * anything else, crashes and watchdog kills included, is retried
+      after a jittered exponential backoff and degraded to an
+      ``Exhaustion(reason="fault")`` verdict once ``retries`` are spent
+      — or at once while :attr:`draining`.
+
+    Every verdict goes through :meth:`finish`: one journal record, then
+    ``on_verdict(ticket, status, result, error)`` with ``status`` one of
+    ``"ok"``, ``"fault"`` or ``"error"`` (terminal; ``result`` is then
+    the fault verdict).  ``on_failure(ticket, description, crashed)``
+    sees every failed attempt first; ``admit(ticket, now)`` may veto a
+    dispatch, settling the ticket itself.  ``queue`` is an
+    :class:`~repro.service.admission.AdmissionQueue`.
+    """
+
+    def __init__(
+        self,
+        pool: WorkerPool,
+        queue,
+        on_verdict: Callable[[Ticket, str, Optional[dict], Optional[str]], None],
+        *,
+        retries: int,
+        backoff_base: float,
+        backoff_cap: float,
+        metrics: Metrics,
+        job_deadline: Optional[float] = None,
+        hang_grace: float = 5.0,
+        checkpoint_dir: Optional[str] = None,
+        journal: Optional[Journal] = None,
+        store=None,
+        on_failure: Optional[Callable[[Ticket, str, bool], None]] = None,
+        admit: Optional[Callable[[Ticket, float], bool]] = None,
+        trace_prefix: str = "suite",
+    ) -> None:
+        self.pool = pool
+        self.queue = queue
+        self.on_verdict = on_verdict
+        self.retries = retries
+        self.backoff_base = backoff_base
+        self.backoff_cap = backoff_cap
+        self.metrics = metrics
+        self.job_deadline = job_deadline
+        self.hang_grace = hang_grace
+        self.checkpoint_dir = checkpoint_dir
+        self.journal = journal
+        self.store = store
+        self.on_failure = on_failure
+        self.admit = admit
+        self.trace_prefix = trace_prefix
+        #: Degrade failed attempts at once instead of retrying them.
+        self.draining = False
+
+    def lookup(self, ticket: Ticket) -> Optional[dict]:
+        """Cache-aside verdict-store check: the stored verdict on a hit;
+        on a miss the key stays on the ticket for write-through.
+        Tickets carrying a fault plan bypass the store — injected faults
+        must actually run, and their verdicts must never persist."""
+        if self.store is None or ticket.fault_plan is not None:
+            return None
+        from repro.service.store import store_key
+
+        ticket.store_key = store_key(ticket.job)
+        if ticket.store_key is None:
+            return None
+        result = self.store.lookup(ticket.store_key)
+        self.metrics.inc("store.miss" if result is None else "store.hit")
+        return result
+
+    def dispatch_ready(self, now: float) -> None:
+        """Hand tickets whose backoff has passed to idle workers."""
+        for worker in self.pool.idle():
+            ticket = self.queue.take(now)
+            if ticket is None:
+                break
+            if self.admit is not None and not self.admit(ticket, now):
+                continue
+            if ticket.deadline_at is not None:
+                deadline = max(0.0, ticket.deadline_at - now)
+            else:
+                deadline = self.job_deadline
+            if ticket.started_first is None:
+                ticket.started_first = now
+            sent = self.pool.dispatch(
+                worker,
+                {
+                    "type": "job",
+                    "job": ticket.job.to_json(),
+                    "attempt": ticket.attempt,
+                    "deadline": deadline,
+                    "checkpoint": job_checkpoint_path(ticket.job, self.checkpoint_dir),
+                    "fault_plan": (
+                        ticket.fault_plan
+                        if ticket.attempt in ticket.fault_attempts
+                        else None
+                    ),
+                },
+                current=ticket,
+                # Backstop for hangs that never poll the cooperative deadline.
+                hard_deadline=(
+                    deadline * 1.5 + self.hang_grace if deadline is not None else None
+                ),
+            )
+            if sent:
+                trace_event(
+                    f"{self.trace_prefix}.dispatch",
+                    job=ticket.job.id,
+                    worker=worker.index,
+                    attempt=ticket.attempt,
+                )
+            else:
+                self.queue.requeue(ticket)  # dead pipe; the reaper respawns
+
+    def step(self, timeout: float, wake: Sequence = ()) -> None:
+        """Wait up to ``timeout`` for pool traffic (or for ``wake``, see
+        :meth:`WorkerPool.poll`) and handle every event that arrived."""
+        for event in self.pool.poll(timeout, wake):
+            if event.kind == "exit":
+                if event.current is not None:
+                    self._failed(
+                        event.current, event.description or "worker lost", True
+                    )
+                continue
+            ticket, message = event.worker.current, event.message
+            kind = message.get("type")
+            if (
+                kind not in ("result", "error")
+                or ticket is None
+                or message.get("job") != ticket.job.id
+            ):
+                continue  # liveness chatter, or a job already given up on
+            self.pool.release(event.worker)
+            if kind == "result":
+                self._complete(ticket, message["result"])
+                continue
+            error_type = message.get("error_type")
+            if error_type == "CertificationError":
+                # A violation whose witness would not replay must never
+                # surface as a clean verdict.
+                self.metrics.inc("witness.failed")
+            self._failed(
+                ticket,
+                message.get("error", "worker error"),
+                False,
+                terminal=error_type in TERMINAL_ERRORS,
+            )
+
+    def _failed(
+        self, ticket: Ticket, description: str, crashed: bool, terminal: bool = False
+    ) -> None:
+        """One attempt failed: settle the ticket or schedule its retry."""
+        ticket.events.append(f"attempt {ticket.attempt}: {description}")
+        if self.on_failure is not None:
+            self.on_failure(ticket, description, crashed)
+        if terminal:
+            verdict = self._fault_verdict(ticket, description)
+            self.finish(ticket, ERROR, verdict, description)
+        elif self.draining or ticket.attempt > self.retries:
+            self.degrade(ticket, description)
+        else:
+            delay = min(
+                self.backoff_cap, self.backoff_base * (2 ** (ticket.attempt - 1))
+            )
+            # Half-to-full jitter: a fleet whose workers one machine-wide
+            # event killed must not re-dispatch on one schedule.
+            delay *= 0.5 + 0.5 * random.random()
+            ticket.attempt += 1
+            ticket.ready_at = time.monotonic() + delay
+            self.queue.requeue(ticket)
+
+    def _fault_verdict(self, ticket: Ticket, detail: str) -> dict:
+        now = time.monotonic()
+        exhaustion = Exhaustion.single(
+            "fault",
+            states=checkpointed_states(ticket.job, self.checkpoint_dir),
+            elapsed=ticket.elapsed(now) if ticket.started_first is not None else None,
+            detail=detail,
+        )
+        return exhaustion.verdict(ticket.job.kind)
+
+    def degrade(self, ticket: Ticket, detail: str) -> None:
+        """Settle a ticket with a qualified partial verdict."""
+        self.finish(ticket, FAULT, self._fault_verdict(ticket, detail), detail)
+
+    def _complete(self, ticket: Ticket, result: dict) -> None:
+        if result.get("certified"):
+            self.metrics.inc("witness.replayed")
+        if self.store is not None and ticket.store_key is not None:
+            # Write-through happens only here: fault verdicts are
+            # retryable stubs, and `put` refuses anything not
+            # budget-pure.  Store trouble costs the cache, never the
+            # verdict.
+            try:
+                if self.store.put(
+                    ticket.store_key, result, kind=ticket.job.kind,
+                    protocol=ticket.protocol,
+                ):
+                    self.metrics.inc("store.write")
+            except OSError:
+                self.metrics.inc("store.error")
+        self.finish(ticket, OK, result)
+
+    def finish(
+        self,
+        ticket: Ticket,
+        status: str,
+        result: Optional[dict],
+        error: Optional[str] = None,
+    ) -> None:
+        """Journal one verdict and hand it to the driver.  Terminal
+        errors journal as ``error`` records, which resume filtering
+        ignores."""
+        if self.journal is not None:
+            if status == ERROR:
+                record = {
+                    "type": "error",
+                    "job": ticket.job.id,
+                    "attempts": ticket.attempt,
+                    "error": error,
+                }
+            else:
+                record = {
+                    "type": "result",
+                    "job": ticket.job.id,
+                    "status": status,
+                    "attempts": ticket.attempt,
+                    "elapsed": round(ticket.elapsed(time.monotonic()), 4),
+                    "result": result,
+                    "error": error,
+                    "events": list(ticket.events),
+                }
+            if ticket.protocol is not None:
+                record["protocol"] = ticket.protocol
+            self.journal.append(record)
+        self.on_verdict(ticket, status, result, error)
 
 
 # ----------------------------------------------------------------------
@@ -680,13 +932,16 @@ def run_suite(
             journaled like a computed outcome so ``resume`` still
             works); budget-pure ``ok`` verdicts are written through.
             Degraded fault outcomes are never written — they stay
-            retryable.
+            retryable.  Fault-plan runs bypass the store.
 
     Returns:
         A :class:`SuiteReport`; every submitted job appears exactly
         once, in submission order — except under ``drain``, where jobs
-        that never started are absent.
+        that never started are absent.  A terminal ``JobError`` job
+        reports as ``"fault"`` after one attempt.
     """
+    from repro.service.admission import AdmissionQueue
+
     jobs = list(jobs)
     ids = [job.id for job in jobs]
     if len(set(ids)) != len(ids):
@@ -700,94 +955,42 @@ def run_suite(
     started = time.monotonic()
     done: dict[str, JobOutcome] = {}
 
-    def decide(outcome: JobOutcome) -> None:
-        done[outcome.job.id] = outcome
+    def on_verdict(ticket: Ticket, status: str, result, error) -> None:
+        outcome = JobOutcome(
+            job=ticket.job,
+            # A terminal job error is the suite's fault verdict too.
+            status=status if status in (OK, SKIPPED) else FAULT,
+            attempts=ticket.attempt,
+            elapsed=ticket.elapsed(time.monotonic()),
+            result=result,
+            error=error,
+            events=tuple(ticket.events),
+        )
+        done[ticket.job.id] = outcome
         trace_event(
-            "suite.outcome",
-            job=outcome.job.id,
-            status=outcome.status,
+            "suite.outcome", job=ticket.job.id, status=outcome.status,
             attempts=outcome.attempts,
         )
         if on_outcome is not None:
             on_outcome(outcome)
 
-    # -- resume: skip journaled jobs ----------------------------------
     prior = journaled_results(journal_path) if resume else {}
-    queue: list[_Pending] = []
-    for job in jobs:
-        record = prior.get(job.id)
-        if record is not None and not (retry_faults and record.get("status") == FAULT):
-            decide(JobOutcome(
-                job=job,
-                status=SKIPPED,
-                attempts=int(record.get("attempts", 1)),
-                elapsed=0.0,
-                result=record.get("result"),
-                error=record.get("error"),
-            ))
-        else:
-            queue.append(_Pending(job))
-
     journal = (
         Journal(journal_path, fresh=not resume) if journal_path is not None else None
     )
-
-    # -- verdict store: cache-aside before the pool, write-through after.
-    # Fault-plan runs bypass it entirely: injected crashes are test
-    # instrumentation that must actually run, and a warm store would
-    # short-circuit them.
     store = None
-    store_keys: dict[str, str] = {}
-    store_hits = store_misses = 0
-    witness_replayed = witness_failed = 0
-    if verdict_store is not None and fault_plan is None:
-        from repro.service.store import VerdictStore, store_key
+    if verdict_store is not None:
+        from repro.service.store import VerdictStore
 
         store = VerdictStore(verdict_store)
-        for pending in list(queue):
-            key = store_key(pending.job)
-            if key is None:
-                continue
-            result = store.lookup(key)
-            if result is None:
-                store_misses += 1
-                store_keys[pending.job.id] = key
-                continue
-            store_hits += 1
-            queue.remove(pending)
-            outcome = JobOutcome(
-                job=pending.job,
-                status=OK,
-                attempts=0,  # no worker ever dispatched
-                elapsed=0.0,
-                result=result,
-                events=("served from verdict store",),
-            )
-            if journal is not None:
-                journal.append({
-                    "type": "result",
-                    "job": outcome.job.id,
-                    "status": outcome.status,
-                    "attempts": outcome.attempts,
-                    "elapsed": 0.0,
-                    "result": outcome.result,
-                    "error": None,
-                    "events": list(outcome.events),
-                })
-            decide(outcome)
-
     scratch = checkpoint_dir
     scratch_owned = False
-    if scratch is None and any(p.job.kind == "explore" for p in queue):
+    if scratch is None and any(job.kind == "explore" for job in jobs):
         scratch = tempfile.mkdtemp(prefix="repro-suite-")
         scratch_owned = True
     elif scratch is not None:
         os.makedirs(scratch, exist_ok=True)
 
-    hard_deadline = (
-        job_deadline * 1.5 + hang_grace if job_deadline is not None else None
-    )
-    plan_json = fault_plan.to_json() if fault_plan is not None else None
     # Every legitimate spawn is a pool slot or a post-crash replacement;
     # the cap only breaks pathological crash loops (e.g. workers dying
     # on import) instead of spinning forever.
@@ -796,180 +999,72 @@ def run_suite(
         heartbeat_interval=heartbeat_interval,
         heartbeat_grace=heartbeat_grace,
         max_rss_mb=max_rss_mb,
-        hard_deadline=hard_deadline,
-        max_spawns=workers + len(queue) * (retries + 1),
+        max_spawns=workers + len(jobs) * (retries + 1),
         name="repro-suite-worker",
     )
-
-    def journal_outcome(outcome: JobOutcome) -> None:
-        if journal is None:
-            return
-        journal.append({
-            "type": "result",
-            "job": outcome.job.id,
-            "status": outcome.status,
-            "attempts": outcome.attempts,
-            "elapsed": round(outcome.elapsed, 4),
-            "result": outcome.result,
-            "error": outcome.error,
-            "events": list(outcome.events),
-        })
-
-    def degrade(pending: _Pending, now: float) -> None:
-        """Retry budget exhausted: record a qualified partial verdict."""
-        states = checkpointed_states(pending.job, scratch)
-        detail = pending.events[-1] if pending.events else "worker lost"
-        exhaustion = Exhaustion(
-            ("fault",),
-            states=states,
-            elapsed=(now - pending.started_first) if pending.started_first else None,
-            detail=detail,
-        )
-        outcome = JobOutcome(
-            job=pending.job,
-            status=FAULT,
-            attempts=pending.attempt,
-            elapsed=(now - pending.started_first) if pending.started_first else 0.0,
-            result=exhaustion.verdict(pending.job.kind),
-            error=detail,
-            events=tuple(pending.events),
-        )
-        journal_outcome(outcome)
-        decide(outcome)
-
-    def handle_failure(pending: _Pending, description: str, now: float) -> None:
-        """One attempt died (crash, kill, or in-worker error)."""
-        nonlocal witness_failed
-        if description.startswith("CertificationError"):
-            # A violation whose witness would not replay: retried like
-            # any fault, degraded (never reported as a clean verdict)
-            # if certification keeps failing.
-            witness_failed += 1
-        pending.events.append(f"attempt {pending.attempt}: {description}")
-        if pending.attempt >= retries + 1:
-            degrade(pending, now)
-            return
-        delay = min(backoff_cap, backoff_base * (2 ** (pending.attempt - 1)))
-        pending.attempt += 1
-        pending.ready_at = now + delay
-        queue.append(pending)
-
-    def handle_message(worker: _Worker, message: dict, now: float) -> None:
-        kind = message.get("type")
-        pending = worker.current
-        if (
-            kind == "started"
-            or pending is None
-            or message.get("job") != pending.job.id
-        ):
-            return  # liveness chatter, or a job we already gave up on
-        if kind == "result":
-            nonlocal witness_replayed
-            pool.release(worker)
-            if isinstance(message.get("result"), dict) and message["result"].get(
-                "certified"
-            ):
-                witness_replayed += 1
-            outcome = JobOutcome(
-                job=pending.job,
-                status=OK,
-                attempts=pending.attempt,
-                elapsed=now - (pending.started_first or now),
-                result=message["result"],
-                events=tuple(pending.events),
-            )
-            journal_outcome(outcome)
-            if store is not None:
-                # Write-through (only ok outcomes ever reach here;
-                # `put` additionally refuses non-budget-pure verdicts).
-                # A store hiccup costs the cache, never the suite.
-                try:
-                    store.put(
-                        store_keys.get(pending.job.id),
-                        message["result"],
-                        kind=pending.job.kind,
-                    )
-                except OSError:
-                    pass
-            decide(outcome)
-        elif kind == "error":
-            pool.release(worker)
-            handle_failure(pending, message.get("error", "worker error"), now)
-
-    def handle_events(events: list[PoolEvent]) -> None:
-        now = time.monotonic()
-        for event in events:
-            if event.kind == "exit":
-                if event.current is not None:
-                    handle_failure(event.current, event.description or "worker lost", now)
-            elif event.message is not None:
-                handle_message(event.worker, event.message, now)
+    ambient = current_metrics()
+    metrics = Metrics()
+    queue: AdmissionQueue[Ticket] = AdmissionQueue(max(1, len(jobs)))
+    engine = JobEngine(
+        pool, queue, on_verdict,
+        retries=retries,
+        backoff_base=backoff_base,
+        backoff_cap=backoff_cap,
+        metrics=metrics,
+        job_deadline=job_deadline,
+        hang_grace=hang_grace,
+        checkpoint_dir=scratch,
+        journal=journal,
+        store=store,
+    )
+    plan_json = fault_plan.to_json() if fault_plan is not None else None
 
     drained = False
     try:
+        for job in jobs:
+            record = prior.get(job.id)
+            if record is not None and not (
+                retry_faults and record.get("status") == FAULT
+            ):
+                on_verdict(
+                    Ticket(job, attempt=int(record.get("attempts", 1))),
+                    SKIPPED, record.get("result"), record.get("error"),
+                )
+                continue
+            ticket = Ticket(job, fault_plan=plan_json, fault_attempts=fault_attempts)
+            cached = engine.lookup(ticket)
+            if cached is None:
+                queue.offer(ticket)
+                continue
+            # Journaled like a computed outcome, so `resume` skips it.
+            ticket.attempt = 0  # no worker ever dispatched
+            ticket.events.append("served from verdict store")
+            engine.finish(ticket, OK, cached)
+
         while len(done) < len(jobs):
-            now = time.monotonic()
-            draining = drain is not None and drain.is_set()
-
             # Reap the dead first so their jobs re-enter the queue.
-            handle_events(pool.poll(timeout=0))
-
-            if draining:
+            engine.step(0)
+            if drain is not None and drain.is_set():
                 # Stop dispatching; once nothing is in flight, stop.
+                # Queued and crashed jobs stay un-journaled for resume.
                 if not pool.busy():
                     drained = True
                     break
             else:
-                # Keep the pool sized to the remaining work.
                 pool.ensure(len(jobs) - len(done))
-
-                # Dispatch ready jobs to idle workers.
-                for worker in pool.idle():
-                    ready = [p for p in queue if p.ready_at <= now]
-                    if not ready:
-                        break
-                    pending = ready[0]
-                    queue.remove(pending)
-                    if pending.started_first is None:
-                        pending.started_first = now
-                    sent = pool.dispatch(worker, {
-                        "type": "job",
-                        "job": pending.job.to_json(),
-                        "attempt": pending.attempt,
-                        "deadline": job_deadline,
-                        "checkpoint": job_checkpoint_path(pending.job, scratch),
-                        "fault_plan": (
-                            plan_json
-                            if plan_json is not None
-                            and pending.attempt in fault_attempts
-                            else None
-                        ),
-                    }, current=pending)
-                    if sent:
-                        trace_event(
-                            "suite.dispatch",
-                            job=pending.job.id,
-                            worker=worker.index,
-                            attempt=pending.attempt,
-                        )
-                    else:
-                        queue.append(pending)  # the reaper will respawn
-
+                engine.dispatch_ready(time.monotonic())
             if len(done) >= len(jobs):
                 break
-
-            if pool.alive_count() == 0 and pool.exhausted and queue:
+            if pool.alive_count() == 0 and pool.exhausted and len(queue):
                 # Crash-looping pool: degrade whatever is left rather
                 # than spinning forever.
-                for pending in list(queue):
-                    queue.remove(pending)
-                    pending.events.append("worker pool exhausted its respawn budget")
-                    degrade(pending, time.monotonic())
+                for ticket in queue.drain():
+                    detail = "worker pool exhausted its respawn budget"
+                    ticket.events.append(detail)
+                    engine.degrade(ticket, detail)
                 continue
-
-            # Drain messages (with a timeout so the loop stays live for
-            # backoff expiry and death detection).
-            handle_events(pool.poll(timeout=0.1))
+            # A bounded wait keeps the loop live for backoff expiry.
+            engine.step(0.1)
     finally:
         pool.shutdown()
         if journal is not None:
@@ -988,21 +1083,14 @@ def run_suite(
         drained=drained,
         submitted=len(jobs),
     )
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.inc("suite.jobs", len(jobs))
-        metrics.inc("suite.spawns", pool.spawned)
-        metrics.inc(
+    if ambient is not None:
+        ambient.absorb(metrics)
+        ambient.inc("suite.jobs", len(jobs))
+        ambient.inc("suite.spawns", pool.spawned)
+        ambient.inc(
             "suite.retries", sum(max(0, o.attempts - 1) for o in report.outcomes)
         )
-        metrics.inc("suite.faults", len(report.by_status(FAULT)))
-        if witness_replayed:
-            metrics.inc("witness.replayed", witness_replayed)
-        if witness_failed:
-            metrics.inc("witness.failed", witness_failed)
-        if store is not None:
-            metrics.inc("store.hit", store_hits)
-            metrics.inc("store.miss", store_misses)
-        metrics.set_gauge("suite.workers", workers)
-        metrics.observe("suite.seconds", elapsed)
+        ambient.inc("suite.faults", len(report.by_status(FAULT)))
+        ambient.set_gauge("suite.workers", workers)
+        ambient.observe("suite.seconds", elapsed)
     return report

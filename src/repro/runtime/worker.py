@@ -48,7 +48,8 @@ KINDS = frozenset({"explore", "secrecy", "authentication", "freshness", "check"}
 #: independently replayed (reduction suspended, state cache off) before
 #: it is reported; a violation that cannot be certified raises
 #: :class:`~repro.semantics.replay.CertificationError`, which the
-#: supervisor/server retry machinery degrades to a retryable fault.
+#: job engine (:class:`~repro.runtime.supervisor.JobEngine`) retries and
+#: then degrades to a retryable fault.
 CERTIFY_ENV = "REPRO_CERTIFY"
 
 
@@ -471,13 +472,16 @@ def worker_main(conn, worker_id: int, heartbeat_interval: float = 0.25) -> None:
     * in  — ``{"type": "job", "job": <Job.to_json>, "attempt": n,
       "deadline": s|None, "checkpoint": path|None,
       "fault_plan": <FaultPlan.to_json>|None}`` or ``{"type": "shutdown"}``;
-    * out — ``{"type": "started"|"heartbeat"|"result"|"error", ...}``.
+    * out — ``{"type": "started"|"heartbeat"|"result"|"error", ...}``;
+      an ``error`` frame carries ``error_type``, the exception's class
+      name, which the supervisor classifies failures by.
 
     Heartbeats come from a daemon thread, so they prove *process*
     liveness (spawned, importing, computing) independently of job
-    progress.  Any failure of a job is reported as an ``error`` message
-    and the worker lives on; only shutdown, pipe EOF, or a hard crash
-    (signal, OOM kill, injected ``exit_at``) end the process.
+    progress.  Any failure of a job — a malformed description included —
+    is reported as an ``error`` message and the worker lives on; only
+    shutdown, pipe EOF, or a hard crash (signal, OOM kill, injected
+    ``exit_at``) end the process.
     """
     import signal
 
@@ -514,12 +518,17 @@ def worker_main(conn, worker_id: int, heartbeat_interval: float = 0.25) -> None:
                 break
             if not isinstance(message, dict) or message.get("type") == "shutdown":
                 break
-            job = Job.from_json(message["job"])
             attempt = int(message.get("attempt", 1))
-            send({"type": "started", "worker": worker_id, "job": job.id, "attempt": attempt})
+            raw = message.get("job")
+            job_id = raw.get("id") if isinstance(raw, dict) else None
+            send({
+                "type": "started", "worker": worker_id, "job": job_id,
+                "attempt": attempt,
+            })
             plan = message.get("fault_plan")
             harness = inject_faults(FaultPlan.from_json(plan)) if plan else nullcontext()
             try:
+                job = Job.from_json(raw)
                 with harness:
                     result = run_job(
                         job,
@@ -529,7 +538,7 @@ def worker_main(conn, worker_id: int, heartbeat_interval: float = 0.25) -> None:
                 send({
                     "type": "result",
                     "worker": worker_id,
-                    "job": job.id,
+                    "job": job_id,
                     "attempt": attempt,
                     "result": result,
                 })
@@ -537,9 +546,10 @@ def worker_main(conn, worker_id: int, heartbeat_interval: float = 0.25) -> None:
                 send({
                     "type": "error",
                     "worker": worker_id,
-                    "job": job.id,
+                    "job": job_id,
                     "attempt": attempt,
                     "error": f"{type(err).__name__}: {err}",
+                    "error_type": type(err).__name__,
                     "traceback": traceback.format_exc(limit=8),
                 })
     except KeyboardInterrupt:  # pragma: no cover - race with SIG_IGN

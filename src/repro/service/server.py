@@ -2,34 +2,37 @@
 
 A long-running process that accepts framed JSON verification requests
 (see :mod:`repro.service.protocol`) on a Unix socket and/or a TCP
-listener and dispatches them onto the same supervised
-:class:`~repro.runtime.supervisor.WorkerPool` the batch runner uses.
-One event loop (``selectors``), no per-connection threads: client
-sockets are non-blocking, worker pipes are swept with
-``WorkerPool.poll(0)`` every tick.
+listener and runs them on the same
+:class:`~repro.runtime.supervisor.JobEngine` the batch runner uses, so
+retries, degradation, journal records and verdict-store traffic follow
+one failure policy (the table in ``docs/runtime.md``, "Failure
+policy").  One event loop, no per-connection threads: client sockets
+are non-blocking, and a single wait covers worker pipes and the socket
+selector together, so a finished verdict is answered at once.
 
-What makes it a *service* rather than a socket wrapper around
-``run_suite`` is the failure policy:
+What the server adds around the engine is the service front end:
 
 * **admission control** — a bounded queue
   (:class:`~repro.service.admission.AdmissionQueue`); when it is full
   new requests get a fast ``overloaded`` response instead of an
   unbounded backlog;
 * **per-request deadlines** — a queued request whose budget expires is
-  answered ``degraded`` without wasting a worker; a dispatched one gets
+  answered ``expired`` without wasting a worker; a dispatched one gets
   the remaining budget as its cooperative deadline plus a scaled
   hard-kill backstop;
 * **circuit breakers** — repeated worker crashes on one protocol open
   that protocol's breaker (:mod:`repro.service.breaker`); requests for
-  it are answered immediately with a cached degraded
+  it are answered immediately with a degraded
   ``Exhaustion(reason="fault")`` verdict while other protocols keep
   verifying normally;
 * **supervised workers** — crashed/hung/OOM-killed workers are replaced
   by the pool with no lifetime spawn cap (a service replaces workers
   forever; the breaker, not a spawn budget, is what stops crash loops);
+* **dedupe** (``--dedupe``) — request ids are idempotency keys;
 * **graceful drain** — on SIGTERM/SIGINT (or
   :meth:`Server.request_drain`): listeners close, queued requests are
-  shed with ``draining`` responses, in-flight jobs get ``drain_grace``
+  shed with ``draining`` responses, a failed in-flight attempt degrades
+  at once instead of retrying, in-flight jobs get ``drain_grace``
   seconds to finish (then are killed and answered ``degraded``), the
   journal is flushed, and :meth:`Server.serve_forever` returns ``0``.
 
@@ -40,7 +43,7 @@ the service could not::
     repro-spi suite --suite-file jobs.json --journal service.jsonl \\
         --resume [--retry-faults]
 
-— shed requests (``type: "shed"``) and in-worker errors (``type:
+— shed requests (``type: "shed"``) and terminal job errors (``type:
 "error"``) are invisible to resume filtering and simply re-run;
 degraded fault verdicts (``status: "fault"``) re-run under
 ``--retry-faults``.
@@ -49,24 +52,18 @@ degraded fault verdicts (``status: "fault"``) re-run under
 from __future__ import annotations
 
 import os
-import random
 import selectors
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.errors import ReproError
 from repro.obs.metrics import Metrics, current_metrics
 from repro.obs.trace import trace_event
-from repro.runtime.exhaustion import Exhaustion
 from repro.runtime.journal import Journal
-from repro.runtime.supervisor import (
-    WorkerPool,
-    checkpointed_states,
-    job_checkpoint_path,
-)
+from repro.runtime.supervisor import FAULT, OK, JobEngine, Ticket, WorkerPool
 from repro.service import protocol
 from repro.service.admission import AdmissionQueue
 from repro.service.breaker import CLOSED, BreakerBoard
@@ -114,7 +111,9 @@ class ServerConfig:
     hang_grace: float = 5.0
     backoff_base: float = 0.25
     backoff_cap: float = 8.0
-    #: Event-loop tick (selector timeout) in seconds.
+    #: Upper bound, in seconds, on how late timer work runs (retry
+    #: backoff, deadline expiry, drain grace); socket and worker
+    #: traffic wakes the event loop at once.
     tick: float = 0.05
     #: Accept ``fault_plan`` fields in requests (crash-injection tests
     #: only; a production server refuses them).
@@ -151,30 +150,17 @@ class _Client:
 
 
 @dataclass(eq=False)
-class _Ticket:
-    """One admitted request travelling through queue -> worker -> reply.
+class _Ticket(Ticket):
+    """An admitted request: the engine's ticket plus who gets the answer.
 
-    ``ready_at``/``deadline_at`` are the attributes
-    :class:`AdmissionQueue` keys on; ``probe`` marks the single request
-    allowed through a half-open breaker.
+    ``probe`` marks the single request allowed through a half-open
+    breaker; ``extra_clients`` are duplicate submitters coalesced onto
+    this ticket (``--dedupe``), who receive the same final answer.
     """
 
-    request: Request
-    client: Optional[_Client]
-    key: str
-    admitted_at: float
-    deadline_at: Optional[float] = None
-    attempt: int = 1
-    ready_at: float = 0.0
-    started_first: Optional[float] = None
+    client: Optional[_Client] = None
+    admitted_at: float = 0.0
     probe: bool = False
-    #: Verdict-store key computed at admission (``--verdict-store``);
-    #: ``None`` when there is no store, the job cannot be keyed, or the
-    #: request carries test instrumentation (fault plans must run).
-    store_key: Optional[str] = None
-    events: list[str] = field(default_factory=list)
-    #: Duplicate submitters coalesced onto this ticket (``--dedupe``);
-    #: they receive the same final answer as the original client.
     extra_clients: list = field(default_factory=list)
 
 
@@ -210,7 +196,7 @@ class Server:
             max_spawns=None,  # services replace workers forever
             name="repro-serve-worker",
         )
-        self.journal = (
+        journal = (
             Journal(config.journal_path, fresh=False)
             if config.journal_path is not None
             else None
@@ -223,12 +209,25 @@ class Server:
             )
         else:
             self._journal_index = None
+        store = None
         if config.verdict_store is not None:
             from repro.service.store import VerdictStore
 
-            self.store: Optional[VerdictStore] = VerdictStore(config.verdict_store)
-        else:
-            self.store = None
+            store = VerdictStore(config.verdict_store)
+        self.engine = JobEngine(
+            self.pool, self.queue, self._on_verdict,
+            retries=config.retries,
+            backoff_base=config.backoff_base,
+            backoff_cap=config.backoff_cap,
+            metrics=self.metrics,
+            hang_grace=config.hang_grace,
+            checkpoint_dir=config.checkpoint_dir,
+            journal=journal,
+            store=store,
+            on_failure=self._on_failure,
+            admit=self._admit,
+            trace_prefix="service",
+        )
         #: request id -> live ticket, for coalescing duplicates.
         self._inflight_ids: dict[str, _Ticket] = {}
         self._selector = selectors.DefaultSelector()
@@ -283,20 +282,20 @@ class Server:
     def serve_forever(self) -> int:
         """Run until drained; returns the process exit status (``0``)."""
         self.bind()
+        wake = [self._selector.fileno()]
         try:
             while True:
                 if self._drain.is_set() and not self._draining:
                     self._begin_drain()
-                self._pump_sockets(self.config.tick)
+                self.engine.step(self.config.tick, wake)
+                self._pump_sockets()
                 now = time.monotonic()
-                self._handle_pool_events(now)
                 self._expire_queued(now)
                 if not self._draining:
                     self.pool.ensure()
-                    self._dispatch_ready(now)
-                else:
-                    if self._drain_finished(now):
-                        break
+                    self.engine.dispatch_ready(now)
+                elif self._drain_finished(now):
+                    break
                 self.metrics.set_gauge("service.queue_depth", self.queue.depth)
                 self.metrics.set_gauge("service.inflight", len(self.pool.busy()))
         finally:
@@ -305,8 +304,8 @@ class Server:
 
     # -- socket plumbing -----------------------------------------------
 
-    def _pump_sockets(self, timeout: float) -> None:
-        for key, mask in self._selector.select(timeout):
+    def _pump_sockets(self) -> None:
+        for key, mask in self._selector.select(0):
             role, payload = key.data
             if role == "listener":
                 self._accept(key.fileobj)
@@ -449,7 +448,7 @@ class Server:
             if self._serve_cached(client, request):
                 return
             existing = self._inflight_ids.get(request.id)
-            if existing is not None and existing.request.kind == request.kind:
+            if existing is not None and existing.job.kind == request.kind:
                 # Same idempotency key, already queued or running: both
                 # submitters get the one verdict.  This is what makes a
                 # re-driven request from a second router a no-op instead
@@ -458,23 +457,34 @@ class Server:
                 self.metrics.inc("service.coalesced")
                 trace_event("service.coalesce", job=request.id)
                 return
-        hit, store_key = self._check_store(client, request)
-        if hit:
-            return
         now = time.monotonic()
         key = protocol.protocol_key(request.target)
+        ticket = _Ticket(
+            request.job(),
+            protocol=key,
+            fault_plan=request.fault_plan,
+            fault_attempts=request.fault_attempts,
+            client=client,
+            admitted_at=now,
+        )
+        cached = self.engine.lookup(ticket)
+        if cached is not None:
+            # Not journaled: the verdict was computed by an earlier
+            # process incarnation, and journaling it again would make a
+            # warm restart double-journal.
+            trace_event("service.store_hit", job=request.id)
+            self._respond(
+                client,
+                protocol.response(request.id, protocol.OK, result=cached, cached=True),
+            )
+            return
         breaker = self.breakers.get(key)
         if not breaker.allow():
-            self._degrade_fast(client, request, breaker.last_fault or "circuit open")
+            ticket.attempt = 0  # degraded without dispatch
+            ticket.events.append("degraded without dispatch: circuit open")
+            self.engine.degrade(ticket, breaker.last_fault or "circuit open")
             return
-        ticket = _Ticket(
-            request=request,
-            client=client,
-            key=key,
-            admitted_at=now,
-            probe=breaker.state != CLOSED,
-            store_key=store_key,
-        )
+        ticket.probe = breaker.state != CLOSED
         budget = request.deadline or self.config.job_deadline
         if budget is not None:
             ticket.deadline_at = now + budget
@@ -533,44 +543,11 @@ class Server:
         )
         return True
 
-    def _check_store(
-        self, client: Optional[_Client], request: Request
-    ) -> tuple[bool, Optional[str]]:
-        """Cache-aside verdict-store check at admission.
-
-        Returns ``(answered, store_key)``: on a hit the client already
-        got the stored verdict (``cached: true``, ``store.hit`` metric)
-        and nothing is journaled — the verdict was computed by some
-        earlier process incarnation, and re-journaling it here would
-        make a warm restart double-journal.  On a miss the computed key
-        rides the ticket so the completion path can write through.
-        Fault-injected requests bypass the store entirely: test
-        instrumentation must actually run (and must never persist).
-        """
-        if self.store is None or request.fault_plan is not None:
-            return False, None
-        from repro.service.store import store_key
-
-        key = store_key(request.job())
-        if key is None:
-            return False, None
-        result = self.store.lookup(key)
-        if result is None:
-            self.metrics.inc("store.miss")
-            return False, key
-        self.metrics.inc("store.hit")
-        trace_event("service.store_hit", job=request.id)
-        self._respond(
-            client,
-            protocol.response(request.id, protocol.OK, result=result, cached=True),
-        )
-        return True, key
-
     def _answer(self, ticket: _Ticket, message: dict) -> None:
         """Deliver a ticket's final answer to its client *and* every
         coalesced duplicate, retiring its idempotency-key entry."""
-        if self._inflight_ids.get(ticket.request.id) is ticket:
-            del self._inflight_ids[ticket.request.id]
+        if self._inflight_ids.get(ticket.job.id) is ticket:
+            del self._inflight_ids[ticket.job.id]
         self._respond(ticket.client, message)
         for client in ticket.extra_clients:
             self._respond(client, message)
@@ -618,119 +595,74 @@ class Server:
             "metrics": self.metrics.to_json(),
         }
 
-    # -- verdict paths -------------------------------------------------
+    # -- engine hooks --------------------------------------------------
 
     def _journal(self, record: dict) -> None:
-        if self.journal is not None:
-            self.journal.append(record)
+        if self.engine.journal is not None:
+            self.engine.journal.append(record)
 
-    def _degrade_fast(self, client: Optional[_Client], request: Request, detail: str) -> None:
-        """Breaker-open fast path: cached fault verdict, no queue time."""
-        exhaustion = Exhaustion.single("fault", detail=detail)
-        result = exhaustion.verdict(request.kind)
-        self.metrics.inc("service.degraded")
-        self._journal({
-            "type": "result",
-            "job": request.id,
-            "protocol": protocol.protocol_key(request.target),
-            "status": "fault",
-            "attempts": 0,
-            "elapsed": 0.0,
-            "result": result,
-            "error": detail,
-            "events": ["degraded without dispatch: circuit open"],
-        })
-        self._respond(
-            client,
-            protocol.response(
-                request.id, protocol.DEGRADED, result=result, error=detail
-            ),
-        )
+    def _on_verdict(self, ticket: _Ticket, status: str, result, error) -> None:
+        """The engine settled a ticket: answer every waiting client."""
+        rid = ticket.job.id
+        if status == OK:
+            self.breakers.get(ticket.protocol).record_success()
+            self.metrics.inc("service.completed")
+            self.metrics.observe(
+                "service.latency", time.monotonic() - ticket.admitted_at
+            )
+            message = protocol.response(rid, protocol.OK, result=result)
+        elif status == FAULT:
+            self.metrics.inc("service.degraded")
+            message = protocol.response(
+                rid, protocol.DEGRADED, result=result, error=error
+            )
+        else:
+            self.metrics.inc("service.errors")
+            message = protocol.response(rid, protocol.ERROR, error=error)
+        self._answer(ticket, message)
 
-    def _degrade(self, ticket: _Ticket, detail: str, reason: str = "fault") -> None:
-        """Retry budget (or drain grace, or deadline) exhausted."""
-        now = time.monotonic()
-        job = ticket.request.job()
-        exhaustion = Exhaustion.single(
-            reason,
-            states=checkpointed_states(job, self.config.checkpoint_dir),
-            elapsed=(now - ticket.started_first) if ticket.started_first else None,
-            detail=detail,
-        )
-        result = exhaustion.verdict(ticket.request.kind)
-        self.metrics.inc("service.degraded")
-        self._journal({
-            "type": "result",
-            "job": ticket.request.id,
-            "protocol": ticket.key,
-            "status": "fault",
-            "attempts": ticket.attempt,
-            "elapsed": round(now - ticket.admitted_at, 4),
-            "result": result,
-            "error": detail,
-            "events": list(ticket.events),
-        })
-        self._answer(
-            ticket,
-            protocol.response(
-                ticket.request.id, protocol.DEGRADED, result=result, error=detail
-            ),
+    def _on_failure(self, ticket: _Ticket, description: str, crashed: bool) -> None:
+        """Breaker bookkeeping for one failed attempt."""
+        breaker = self.breakers.get(ticket.protocol)
+        if not crashed:
+            # The worker survived: the request's fault, not the protocol's.
+            breaker.record_success()
+            return
+        self.metrics.inc("service.crashes")
+        breaker.record_fault(f"{ticket.job.id}: {description}")
+        ticket.probe = False
+        trace_event(
+            "service.crash", job=ticket.job.id, detail=description,
+            breaker=breaker.state,
         )
 
-    def _complete(self, ticket: _Ticket, result: dict) -> None:
-        now = time.monotonic()
-        elapsed = now - ticket.admitted_at
-        self.metrics.inc("service.completed")
-        self.metrics.observe("service.latency", elapsed)
-        if self.store is not None and ticket.store_key is not None:
-            # Write-through, only here: `_degrade`/`_degrade_fast`
-            # verdicts are retryable fault stubs and must never be
-            # persisted.  `put` additionally refuses deadline-qualified
-            # results (not budget-pure).  Store trouble costs the cache,
-            # never the response.
-            try:
-                if self.store.put(
-                    ticket.store_key,
-                    result,
-                    kind=ticket.request.kind,
-                    protocol=ticket.key,
-                ):
-                    self.metrics.inc("store.write")
-            except OSError:
-                self.metrics.inc("store.error")
-        self._journal({
-            "type": "result",
-            "job": ticket.request.id,
-            "protocol": ticket.key,
-            "status": "ok",
-            "attempts": ticket.attempt,
-            "elapsed": round(elapsed, 4),
-            "result": result,
-            "error": None,
-            "events": list(ticket.events),
-        })
-        self._answer(
-            ticket,
-            protocol.response(ticket.request.id, protocol.OK, result=result),
-        )
+    def _admit(self, ticket: _Ticket, now: float) -> bool:
+        """Dispatch gate: the breaker may have opened while this ticket
+        queued (another request for the same protocol crashed workers)."""
+        breaker = self.breakers.get(ticket.protocol)
+        if breaker.state == CLOSED or ticket.probe:
+            return True
+        if breaker.allow():
+            ticket.probe = True
+            return True
+        self.engine.degrade(ticket, breaker.last_fault or "circuit open")
+        return False
 
     def _shed(self, ticket: _Ticket, status: str, reason: str, error: str) -> None:
         """Bounce an already-queued ticket back to its client un-run."""
         if ticket.probe:
-            self.breakers.get(ticket.key).abandon_probe()
+            self.breakers.get(ticket.protocol).abandon_probe()
         self.metrics.inc("service.shed")
         self._journal({
             "type": "shed",
-            "job": ticket.request.id,
-            "protocol": ticket.key,
+            "job": ticket.job.id,
+            "protocol": ticket.protocol,
             "reason": reason,
         })
         self._answer(
             ticket,
-            protocol.response(ticket.request.id, status, error=error),
+            protocol.response(ticket.job.id, status, error=error),
         )
-
-    # -- scheduling ----------------------------------------------------
 
     def _expire_queued(self, now: float) -> None:
         # Expiry is its own status, not ``overloaded`` (a retry cannot
@@ -745,151 +677,11 @@ class Server:
                 error="deadline expired before a worker was free",
             )
 
-    def _dispatch_ready(self, now: float) -> None:
-        for worker in self.pool.idle():
-            ticket = self.queue.take(now)
-            if ticket is None:
-                break
-            breaker = self.breakers.get(ticket.key)
-            if breaker.state != CLOSED and not ticket.probe:
-                # The breaker opened while this ticket queued (another
-                # request for the same protocol crashed its workers).
-                if breaker.allow():
-                    ticket.probe = True
-                else:
-                    self._degrade(ticket, breaker.last_fault or "circuit open")
-                    continue
-            deadline = None
-            if ticket.deadline_at is not None:
-                deadline = max(0.0, ticket.deadline_at - now)
-            hard = (
-                deadline * 1.5 + self.config.hang_grace
-                if deadline is not None
-                else None
-            )
-            job = ticket.request.job()
-            plan = None
-            if (
-                self.config.allow_fault_injection
-                and ticket.request.fault_plan is not None
-                and ticket.attempt in ticket.request.fault_attempts
-            ):
-                plan = ticket.request.fault_plan
-            if ticket.started_first is None:
-                ticket.started_first = now
-            sent = self.pool.dispatch(
-                worker,
-                {
-                    "type": "job",
-                    "job": job.to_json(),
-                    "attempt": ticket.attempt,
-                    "deadline": deadline,
-                    "checkpoint": job_checkpoint_path(job, self.config.checkpoint_dir),
-                    "fault_plan": plan,
-                },
-                current=ticket,
-                hard_deadline=hard,
-            )
-            if sent:
-                trace_event(
-                    "service.dispatch",
-                    job=ticket.request.id,
-                    worker=worker.index,
-                    attempt=ticket.attempt,
-                )
-            else:
-                self.queue.requeue(ticket)  # dead pipe; the reaper respawns
-
-    def _handle_pool_events(self, now: float) -> None:
-        for event in self.pool.poll(timeout=0):
-            if event.kind == "exit":
-                ticket = event.current
-                if ticket is not None:
-                    self._worker_died(ticket, event.description or "worker lost", now)
-            elif event.message is not None:
-                self._worker_message(event.worker, event.message)
-
-    def _worker_died(self, ticket: _Ticket, description: str, now: float) -> None:
-        self.metrics.inc("service.crashes")
-        ticket.events.append(f"attempt {ticket.attempt}: {description}")
-        breaker = self.breakers.get(ticket.key)
-        breaker.record_fault(f"{ticket.request.id}: {description}")
-        ticket.probe = False
-        trace_event(
-            "service.crash", job=ticket.request.id, detail=description,
-            breaker=breaker.state,
-        )
-        if self._draining or ticket.attempt > self.config.retries:
-            self._degrade(ticket, description)
-            return
-        delay = min(
-            self.config.backoff_cap,
-            self.config.backoff_base * (2 ** (ticket.attempt - 1)),
-        )
-        # Half-to-full jitter: a whole fleet of shards whose workers
-        # were OOM-killed by the same machine-wide event must not all
-        # re-dispatch on the same exponential schedule.
-        delay *= 0.5 + 0.5 * random.random()
-        ticket.attempt += 1
-        ticket.ready_at = now + delay
-        self.queue.requeue(ticket)
-
-    def _worker_message(self, worker, message: dict) -> None:
-        kind = message.get("type")
-        ticket = worker.current
-        if (
-            kind == "started"
-            or ticket is None
-            or message.get("job") != ticket.request.id
-        ):
-            return
-        if kind == "result":
-            self.pool.release(worker)
-            self.breakers.get(ticket.key).record_success()
-            if isinstance(message.get("result"), dict) and message["result"].get(
-                "certified"
-            ):
-                self.metrics.inc("witness.replayed")
-            self._complete(ticket, message["result"])
-        elif kind == "error":
-            # Deterministic in-worker failure: the request's fault, not
-            # the protocol's — report it, leave the breaker alone (the
-            # worker demonstrably survived).
-            self.pool.release(worker)
-            self.breakers.get(ticket.key).record_success()
-            error = message.get("error", "worker error")
-            if error.startswith("CertificationError"):
-                # A violation whose witness would not replay must never
-                # surface as a clean answer *or* a plain error: retry it
-                # like a crash, degrading to a retryable fault verdict
-                # when the budget runs out.
-                self.metrics.inc("witness.failed")
-                ticket.events.append(f"attempt {ticket.attempt}: {error}")
-                if self._draining or ticket.attempt > self.config.retries:
-                    self._degrade(ticket, error)
-                else:
-                    delay = min(
-                        self.config.backoff_cap,
-                        self.config.backoff_base * (2 ** (ticket.attempt - 1)),
-                    ) * (0.5 + 0.5 * random.random())
-                    ticket.attempt += 1
-                    ticket.ready_at = time.monotonic() + delay
-                    self.queue.requeue(ticket)
-                return
-            self.metrics.inc("service.errors")
-            self._journal({
-                "type": "error", "job": ticket.request.id,
-                "protocol": ticket.key, "error": error,
-            })
-            self._answer(
-                ticket,
-                protocol.response(ticket.request.id, protocol.ERROR, error=error),
-            )
-
     # -- drain & shutdown ----------------------------------------------
 
     def _begin_drain(self) -> None:
         self._draining = True
+        self.engine.draining = True
         self._drain_deadline = time.monotonic() + self.config.drain_grace
         trace_event(
             "service.drain",
@@ -933,10 +725,10 @@ class Server:
     def _shutdown(self) -> None:
         self._draining = True
         self.pool.shutdown()
-        if self.journal is not None:
-            self.journal.close()
-        if self.store is not None:
-            self.store.close()
+        if self.engine.journal is not None:
+            self.engine.journal.close()
+        if self.engine.store is not None:
+            self.engine.store.close()
         for client in list(self._clients):
             self._close(client, after_flush=True)
         for listener in self._listeners:

@@ -22,8 +22,8 @@ not atomic); readers merge all segments.  Each segment follows the
 
 * **appends are whole fsync'd lines** (:class:`~repro.runtime.journal.
   Journal`) — an acknowledged record survives a crash;
-* **reads are incremental and paranoid** — per-segment byte-offset
-  tailing in the style of :class:`~repro.runtime.journal.JournalIndex`:
+* **reads are incremental and paranoid** — each segment is tailed by
+  a :class:`~repro.runtime.journal.JournalIndex` with a checksum filter:
   a torn final line is buffered until its newline arrives, a corrupt
   complete line is skipped, and a segment that shrank (torn-tail repair
   on reopen) or vanished (compaction) resets its tail.  The failure
@@ -68,7 +68,7 @@ from typing import Mapping, Optional
 
 from repro.core.errors import ReproError
 from repro.runtime.exhaustion import BUDGET_REASONS
-from repro.runtime.journal import Journal
+from repro.runtime.journal import Journal, JournalIndex
 from repro.runtime.worker import Job
 
 #: Store-record schema version (bumped on incompatible layout changes).
@@ -232,67 +232,19 @@ def storable_result(result: object) -> bool:
 # ----------------------------------------------------------------------
 
 
-class _SegmentTail:
-    """Incremental reader of one segment file (JournalIndex discipline:
-    buffer torn tails, skip corrupt lines, reset on shrink)."""
+def _verdict_record(record: dict) -> bool:
+    """Segment-tail filter: a well-formed store record whose checksum
+    re-derives (a damaged payload is a miss, never a wrong hit)."""
+    return (
+        record.get("type") == "verdict"
+        and isinstance(record.get("result"), dict)
+        and record.get("sum")
+        == record_checksum(record["key"], str(record.get("engine")), record["result"])
+    )
 
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._offset = 0
-        self._tail = b""
-        #: key -> full store record (latest wins within the segment).
-        self.records: dict[str, dict] = {}
-        #: Complete lines parsed (including stale-engine ones).
-        self.lines = 0
-        #: Dead segment: the file vanished (compaction/invalidation).
-        self.gone = False
 
-    def refresh(self) -> None:
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                size = handle.tell()
-                if size < self._offset:
-                    self._reset()
-                if size == self._offset:
-                    return
-                handle.seek(self._offset)
-                data = handle.read()
-        except FileNotFoundError:
-            self._reset()
-            self.gone = True
-            return
-        self.gone = False
-        self._offset += len(data)
-        buffer = self._tail + data
-        lines = buffer.split(b"\n")
-        self._tail = lines.pop()  # b"" when data ended on a newline
-        for line in lines:
-            if not line:
-                continue
-            try:
-                record = json.loads(line.decode("utf-8", errors="replace"))
-            except ValueError:
-                continue  # damaged line: a cache miss, never a crash
-            if (
-                not isinstance(record, dict)
-                or record.get("type") != "verdict"
-                or not isinstance(record.get("key"), str)
-                or not isinstance(record.get("result"), dict)
-            ):
-                continue
-            if record.get("sum") != record_checksum(
-                record["key"], str(record.get("engine")), record["result"]
-            ):
-                continue  # damaged payload: a miss, never a wrong hit
-            self.lines += 1
-            self.records[record["key"]] = record
-
-    def _reset(self) -> None:
-        self._offset = 0
-        self._tail = b""
-        self.records = {}
-        self.lines = 0
+def _segment_tail(path: str) -> JournalIndex:
+    return JournalIndex(path, key="key", accept=_verdict_record)
 
 
 class VerdictStore:
@@ -314,7 +266,7 @@ class VerdictStore:
             raise StoreError(f"cannot create verdict store {directory!r}: {err}")
         if not os.path.isdir(directory):
             raise StoreError(f"verdict store {directory!r} is not a directory")
-        self._tails: dict[str, _SegmentTail] = {}
+        self._tails: dict[str, JournalIndex] = {}
         self._writer: Optional[Journal] = None
         self._writer_path: Optional[str] = None
 
@@ -332,15 +284,13 @@ class VerdictStore:
         )
 
     def refresh(self) -> None:
-        """Absorb new segments and new bytes in known segments."""
-        live = set(self._segments())
-        for path in live:
-            if path not in self._tails:
-                self._tails[path] = _SegmentTail(path)
-        for path, tail in list(self._tails.items()):
-            tail.refresh()
-            if tail.gone and path not in live:
-                del self._tails[path]
+        """Absorb new segments and new bytes in known segments; forget
+        segments that vanished (compaction, invalidation)."""
+        known, self._tails = self._tails, {}
+        for path in self._segments():
+            tail = known.get(path)
+            self._tails[path] = tail if tail is not None else _segment_tail(path)
+            self._tails[path].refresh()
 
     def lookup(self, key: Optional[str]) -> Optional[dict]:
         """The stored verdict ``result`` for ``key`` under the current
@@ -354,7 +304,7 @@ class VerdictStore:
             return None
         self.refresh()
         for tail in self._tails.values():
-            record = tail.records.get(key)
+            record = tail.latest("verdict").get(key)
             if record is not None and record.get("engine") == self.engine:
                 return record
         return None
@@ -428,7 +378,7 @@ class VerdictStore:
         keys: set[str] = set()
         records = 0
         for tail in self._tails.values():
-            for record in tail.records.values():
+            for record in tail.latest("verdict").values():
                 records += 1
                 engine = str(record.get("engine"))
                 engines[engine] = engines.get(engine, 0) + 1
@@ -476,13 +426,13 @@ class VerdictStore:
         old = self._segments()
         for path in old:
             if path not in self._tails:
-                self._tails[path] = _SegmentTail(path)
+                self._tails[path] = _segment_tail(path)
         survivors: dict[str, dict] = {}
 
         def absorb() -> None:
             for tail in self._tails.values():
                 tail.refresh()
-                for key, record in tail.records.items():
+                for key, record in tail.latest("verdict").items():
                     if record.get("engine") == self.engine:
                         survivors[key] = record
 
@@ -519,7 +469,7 @@ class VerdictStore:
                 size = os.path.getsize(path)
             except OSError:
                 size = None  # already gone
-            if size is not None and (tail is None or size > tail._offset):
+            if size is not None and (tail is None or size > tail.offset):
                 kept += 1  # grew since the final tail read: do not unlink
                 continue
             try:

@@ -434,18 +434,23 @@ class TestFrameDecoderFuzz:
 
     @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
     @given(
-        length=st.integers(min_value=1025, max_value=2**32 - 1),
+        excess=st.integers(min_value=1, max_value=2**32 - 1),
         prefix=_MESSAGES,
     )
     def test_oversize_length_header_poisons_at_the_fourth_byte(
-        self, length, prefix
+        self, excess, prefix
     ):
         """A corrupted length header announcing more than the cap must
         poison the decoder the moment the header completes — before any
         payload byte is accepted — and stay poisoned: a stream that lost
         frame alignment can never be trusted again."""
-        decoder = FrameDecoder(max_frame=1024)
-        clean = b"".join(encode_frame(m) for m in prefix)
+        frames = [encode_frame(m) for m in prefix]
+        # The cap admits every clean prefix frame, however large, so only
+        # the hostile header can exceed it.
+        cap = max([1024, *map(len, frames)])
+        length = min(cap + excess, 2**32 - 1)
+        decoder = FrameDecoder(max_frame=cap)
+        clean = b"".join(frames)
         for index in range(len(clean)):
             decoder.feed(clean[index:index + 1])
         hostile = struct.pack(">I", length)
