@@ -46,6 +46,7 @@ from repro.core.processes import (
     Restriction,
     Split,
     replace_leaves,
+    walk_leaves,
 )
 from repro.core.substitution import freshen_bound, instantiate_locvar, subst
 from repro.core.terms import (
@@ -193,11 +194,41 @@ def commitments(
     raise SemanticsError(f"unknown process {proc!r}")
 
 
+#: Commitment memo for the cached path, keyed by (identity of the
+#: interned leaf, location).  Unfolding a replication mints fresh uids,
+#: so without the memo every expansion re-freshens the same template
+#: and the two sides of an interleaving diamond come back as
+#: alpha-variants; with it the unfold of a given leaf at a given
+#: location mints its uids once per arena.  Sound because a location
+#: unfolds at most once along any run: the tree only grows, so once a
+#: leaf acts its location never holds that leaf again (see
+#: ``docs/performance.md``).  Keys name nodes the intern table keeps
+#: alive; dropped with it through the clear hook.
+_commit_memo: dict[tuple[int, Location], tuple[PendingAction, ...]] = {}
+canonical.register_clear_hook(_commit_memo.clear)
+
+
 def pending_actions(system: System) -> list[PendingAction]:
-    """All enabled prefixes of the system, leaf by leaf."""
+    """All enabled prefixes of the system, leaf by leaf.
+
+    With the state cache enabled the leaves are read off the interned
+    root and each leaf's commitments come from :data:`_commit_memo`, so
+    equal leaves at equal locations yield the very same
+    :class:`PendingAction` objects (fresh uids included).  With the
+    cache disabled every call enumerates afresh — the reference
+    semantics replay runs on.
+    """
     actions: list[PendingAction] = []
-    for loc, leaf in system.leaves():
-        actions.extend(commitments(leaf, loc, loc))
+    if not canonical.cache_enabled():
+        for loc, leaf in system.leaves():
+            actions.extend(commitments(leaf, loc, loc))
+        return actions
+    for loc, leaf in walk_leaves(canonical.intern_process(system.root)):
+        key = (id(leaf), loc)
+        found = _commit_memo.get(key)
+        if found is None:
+            found = _commit_memo[key] = tuple(commitments(leaf, loc, loc))
+        actions.extend(found)
     return actions
 
 
@@ -254,6 +285,30 @@ def _match_pair(
     if isinstance(inp.index, LocVar):
         receiver_cont = instantiate_locvar(receiver_cont, inp.index, out.act_loc)
     return value, sender_cont, receiver_cont
+
+
+#: ``_match_pair`` memo for the cached path, keyed by the identities of
+#: the two (memoized, hence long-lived) pending actions.  Values keep
+#: both actions alive next to the result, so a key's ids cannot be
+#: recycled while the entry exists; dropped with the arena.
+_pair_memo: dict[
+    tuple[int, int],
+    tuple[PendingAction, PendingAction, Optional[tuple[Term, Process, Process]]],
+] = {}
+canonical.register_clear_hook(_pair_memo.clear)
+
+
+def _match_pair_memoized(
+    out: PendingAction, inp: PendingAction
+) -> Optional[tuple[Term, Process, Process]]:
+    """:func:`_match_pair` through :data:`_pair_memo`: a pair fires with
+    the same continuations (binder renamings included) in every state
+    that offers it."""
+    key = (id(out), id(inp))
+    entry = _pair_memo.get(key)
+    if entry is None:
+        entry = _pair_memo[key] = (out, inp, _match_pair(out, inp))
+    return entry[2]
 
 
 def synchronize(out: PendingAction, inp: PendingAction, system: System) -> Optional[Transition]:
@@ -415,7 +470,9 @@ def batched_successors(system: System) -> StepBatch:
     visited returns the recorded batch — uids included, since the cache
     keys on the identity of the hash-consed root.
 
-    With the cache enabled, target construction is batched: all patched
+    With the cache enabled, commitments and synchronizations come from
+    their memos, so independent steps fired in either order rebuild the
+    same interned root; target construction is batched: all patched
     roots are rebuilt in one shared walk over the arena
     (:func:`_rewrite_batch`) and normalized through a per-(node,
     position) memo, so shared spine work is paid once per state instead
@@ -435,10 +492,11 @@ def batched_successors(system: System) -> StepBatch:
         leaf_counts[act.leaf_loc] = leaf_counts.get(act.leaf_loc, 0) + 1
     outputs = [a for a in actions if a.is_output]
     inputs = [a for a in actions if not a.is_output]
+    match = _match_pair if cache_handle is None else _match_pair_memoized
     pairs: list[tuple[PendingAction, PendingAction, Term, Process, Process]] = []
     for out in outputs:
         for inp in inputs:
-            matched = _match_pair(out, inp)
+            matched = match(out, inp)
             if matched is not None:
                 pairs.append((out, inp) + matched)
     transitions: list[Transition] = []
